@@ -9,8 +9,8 @@ later runs only check the build is current. Each run then
 
   1. generates the workload's graph for --seed into .bench_work/ (not
      part of set-up time),
-  2. starts the benchmark process, passing it this script's clock reading
-     just before the launch, so set-up time runs from the process's start,
+  2. starts the benchmark process, which times its own set-up from the
+     moment it starts loading the generated files,
   3. forwards the process's last line (one JSON object: correct,
      attempted, failed, metrics) as this script's last line, and keeps
      report.json and spans.json under .bench_work/reports/.
@@ -27,7 +27,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("train-nscaching", "train-bernoulli", "serve-mixed")
@@ -63,11 +62,10 @@ def run_once(binary, workload, seed, seconds, trace, extra=()):
     try:
         subprocess.run([binary, "gen", "--workload", workload, "--seed",
                         str(seed), "--out", data], check=True, timeout=170)
-        launch_ns = time.monotonic_ns()
         proc = subprocess.run(
             [binary, "run", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", str(trace), "--data", data,
-             "--work", work, "--launch-ns", str(launch_ns)] + list(extra),
+             "--work", work] + list(extra),
             stdout=subprocess.PIPE, timeout=175)
         if proc.returncode != 0:
             raise RuntimeError("benchmark exited with %d" % proc.returncode)

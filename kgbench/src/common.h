@@ -11,8 +11,7 @@
 
 namespace kgb {
 
-/// Monotonic nanoseconds (CLOCK_MONOTONIC, the clock Python's
-/// time.monotonic_ns() reads, so a launcher can hand its own timestamp in).
+/// Monotonic nanoseconds (CLOCK_MONOTONIC).
 int64_t NowNs();
 
 inline double NsToS(int64_t ns) { return static_cast<double>(ns) * 1e-9; }

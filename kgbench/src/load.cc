@@ -91,7 +91,12 @@ class Collector {
  public:
   Collector(const std::vector<nsc::Query>& mix, const KeepPolicy& keep,
             LoadResult* out)
-      : mix_(mix), keep_(keep), out_(out) {}
+      : mix_(mix), keep_(keep), out_(out) {
+    // The cap holds per LoadResult, across the calls that fill it.
+    for (const auto& kept : out->kept) {
+      ++kept_[KindBucket(mix[kept.first % mix.size()].kind)];
+    }
+  }
 
   void OnResponse(size_t idx, int64_t due_ns, int64_t now_ns,
                   const std::string& line) {
@@ -194,41 +199,24 @@ bool DrainAll(std::vector<Conn>* conns, Collector* col) {
 
 std::vector<nsc::Query> MakeRequestMix(const std::vector<nsc::Triple>& keys,
                                        size_t count, uint64_t seed) {
-  // Percent of each kind: TOPK HEADS, TOPK TAILS, RANK; the rest SCORE.
-  constexpr int kTopKHeads = 35, kTopKTails = 35, kRank = 5;
+  // The five query kinds in equal shares, keys uniform over `keys`: the
+  // mix the library's serving stress test draws (its K varies; here K is
+  // fixed at kServeK).
+  constexpr nsc::QueryKind kKinds[] = {
+      nsc::QueryKind::kScore, nsc::QueryKind::kRankHead,
+      nsc::QueryKind::kRankTail, nsc::QueryKind::kTopKHeads,
+      nsc::QueryKind::kTopKTails};
   MixRng rng(seed);
-  std::vector<size_t> perm(keys.size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  for (size_t i = perm.size(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.Next() % i]);
-  }
-  std::vector<double> cdf(keys.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < cdf.size(); ++i) cdf[i] = (acc += 1.0 / double(i + 1));
-  for (double& c : cdf) c /= acc;
   std::vector<nsc::Query> mix(count);
   for (nsc::Query& q : mix) {
-    const size_t pos = std::min(
-        cdf.size() - 1,
-        static_cast<size_t>(std::lower_bound(cdf.begin(), cdf.end(),
-                                             rng.Uniform()) -
-                            cdf.begin()));
-    const nsc::Triple& x = keys[perm[pos]];
-    const int pick = static_cast<int>(rng.Next() % 100);
+    const nsc::Triple& x = keys[rng.Next() % keys.size()];
+    q.kind = kKinds[rng.Next() % 5];
     q.h = x.h;
     q.r = x.r;
     q.t = x.t;
-    if (pick < kTopKHeads) {
-      q.kind = nsc::QueryKind::kTopKHeads;
+    if (q.kind == nsc::QueryKind::kTopKHeads ||
+        q.kind == nsc::QueryKind::kTopKTails) {
       q.k = kServeK;
-    } else if (pick < kTopKHeads + kTopKTails) {
-      q.kind = nsc::QueryKind::kTopKTails;
-      q.k = kServeK;
-    } else if (pick < kTopKHeads + kTopKTails + kRank) {
-      q.kind = (rng.Next() & 1) ? nsc::QueryKind::kRankHead
-                                : nsc::QueryKind::kRankTail;
-    } else {
-      q.kind = nsc::QueryKind::kScore;
     }
   }
   return mix;

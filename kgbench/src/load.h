@@ -17,10 +17,9 @@ namespace kgb {
 
 inline constexpr int kServeK = 10;
 
-/// A seeded request sequence keyed on held-out triples: 35% TOPK HEADS,
-/// 35% TOPK TAILS (K = kServeK), 5% RANK (half HEAD, half TAIL), 25%
-/// SCORE. Keys follow a Zipf(1) popularity over a seeded permutation, so
-/// some repeat.
+/// A seeded request sequence keyed on held-out triples: SCORE, RANK HEAD,
+/// RANK TAIL, TOPK HEADS and TOPK TAILS (K = kServeK) in equal shares,
+/// keys drawn uniformly from `keys`.
 std::vector<nsc::Query> MakeRequestMix(const std::vector<nsc::Triple>& keys,
                                        size_t count, uint64_t seed);
 

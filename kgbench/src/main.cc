@@ -3,7 +3,7 @@
 //
 //   kgbench gen --workload W --seed N --out DIR
 //   kgbench run --workload W --seed N --seconds S --trace 0|1
-//               --data DIR --work DIR --launch-ns T [--threads N]
+//               --data DIR --work DIR [--threads N]
 //               [--sampler-delay-ns X] [--serve-fault-us Y]
 //   kgbench selftest
 //
@@ -38,7 +38,6 @@ int Run(const kgb::Flags& f) {
   opt.trace = f.Int("trace", 0) != 0;
   opt.data_dir = f.Str("data", "");
   opt.work_dir = f.Str("work", "");
-  opt.launch_ns = f.Int("launch-ns", kgb::NowNs());
   opt.threads = static_cast<int>(f.Int("threads", 4));
   opt.sampler_delay_ns = f.Int("sampler-delay-ns", 0);
   opt.serve_fault_us = f.Int("serve-fault-us", 0);

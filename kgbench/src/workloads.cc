@@ -49,6 +49,10 @@ constexpr int kServeConns = 4;
 constexpr int kClosedDepth = 4;
 /// Windows of the closed-loop throughput (see kFastQuantile).
 constexpr double kQpsWindowS = 0.25;
+/// Serving alternates a closed-loop and an open-loop segment this many
+/// times, so both sample the whole serving phase and not one stretch of
+/// it (see kFastQuantile).
+constexpr int kServeRounds = 4;
 /// How repeated measurements inside one run are reduced to one number.
 /// The reference host is a VM whose vCPUs lose 1-8% of their time to
 /// other tenants in busy periods, in stalls of tens of milliseconds.
@@ -73,52 +77,55 @@ constexpr size_t kRefMrrTriples = 64;
 /// The trained model's reference MRR must beat the initial model's by
 /// at least this much.
 constexpr double kMrrMargin = 0.01;
+/// The trained model's dimension (every workload's train phase).
+constexpr int kDim = 50;
+/// Fewest epochs a run trains, however short --seconds is.
+constexpr int kMinEpochs = 3;
 
 // What differs between workloads. Phase lengths are shares of --seconds;
 // epoch counts are fixed multiples of it, so a run's work (and so its
 // test_mrr) depends on the seed alone, never on the host's speed.
 struct Plan {
-  int dim = 50;        ///< Trained model's dimension.
-  int serve_dim = 50;  ///< serve-mixed's latent model's dimension.
   bool serve_first = false;  ///< serve-mixed: serve the latent model first.
   std::string sampler;       ///< "nscaching" or "bernoulli".
   double epochs_per_second = 0.0;
-  int min_epochs = 3;
   double closed_share = 0.0;
   double open_share = 0.0;
   double open_rate = 0.0;    ///< Offered requests per second.
   int writer_every_ms = 0;   ///< Republish cadence; 0 = no writer.
 };
 
+// serve-mixed's latent model's dimension. With 40% of requests full RANK
+// sweeps, the 2^18-entity table is swept on nearly every request: at 8
+// (8 MiB) capacity was about 2,200 requests/s against 1,450 at 16, and at
+// 50 the sweeps shared a host's memory bandwidth and last level cache
+// with its neighbours and the latencies spread past their bounds.
+constexpr int kServeDim = 8;
+
 bool PlanFor(const std::string& workload, Plan* p) {
   if (workload == "train-nscaching") {
     p->sampler = "nscaching";
     p->epochs_per_second = 0.4;
-    p->closed_share = 0.1;
-    p->open_share = 0.45;
+    p->closed_share = 0.15;
+    p->open_share = 0.9;
     p->open_rate = 1000;
     return true;
   }
   if (workload == "train-bernoulli") {
     p->sampler = "bernoulli";
     p->epochs_per_second = 0.75;
-    p->closed_share = 0.1;
-    p->open_share = 0.45;
+    p->closed_share = 0.15;
+    p->open_share = 0.9;
     p->open_rate = 1000;
     return true;
   }
   if (workload == "serve-mixed") {
-    // dim 16: the 2^18-entity table (16 MiB) is swept fast enough that
-    // the 400/s open loop sits near a quarter of capacity; at dim 50 the
-    // sweeps share a host's memory bandwidth and last level cache with
-    // its neighbours and the latencies spread past their bounds.
-    p->serve_dim = 16;
     p->serve_first = true;
     p->sampler = "bernoulli";
     p->epochs_per_second = 0.75;
     p->closed_share = 0.2;
     p->open_share = 1.0;
-    p->open_rate = 400;
+    p->open_rate = 600;
     p->writer_every_ms = 200;
     return true;
   }
@@ -126,7 +133,7 @@ bool PlanFor(const std::string& workload, Plan* p) {
 }
 
 int EpochsFor(const Plan& p, double seconds) {
-  return std::max(p.min_epochs,
+  return std::max(kMinEpochs,
                   static_cast<int>(std::lround(p.epochs_per_second * seconds)));
 }
 
@@ -191,9 +198,9 @@ std::unique_ptr<nsc::ScoringFunction> MakeScorer(bool traced) {
                                          static_cast<size_t>(kN1 + kN2));
 }
 
-nsc::TrainConfig MakeTrainConfig(int dim, uint64_t seed, int threads) {
+nsc::TrainConfig MakeTrainConfig(uint64_t seed, int threads) {
   nsc::TrainConfig c;
-  c.dim = dim;
+  c.dim = kDim;
   c.batch_size = kBatch;
   // Margin 1 and lr 3e-3: at these, both samplers' epoch loss falls and
   // test MRR rises over the epochs a run trains (at the library's
@@ -317,7 +324,7 @@ struct ServeOutcome {
   double topk_kernel_s = 0.0;
   double topk_per_call = 0.0;
   int64_t first_request_ns = 0;
-  int64_t closed_start_ns = 0, closed_stop_ns = 0;
+  std::vector<double> closed_rates;  ///< Per kQpsWindowS window.
   double repeated_key_share = 0.0;
 };
 
@@ -362,24 +369,17 @@ bool ServePhases(const RunOptions& opt, const Plan& plan,
 
   const std::vector<nsc::Query> mix =
       MakeRequestMix(keys, 1 << 16, opt.seed * 7919 + 17);
-  out->repeated_key_share = RepeatedKeyShare(mix);
   KeepPolicy keep;
   size_t next = 0;
   bool ok = true;
-  {
-    Coarse span("serve.closed_loop");
-    out->closed_start_ns = NowNs();
-    ok = RunClosedLoop(server.port(), mix, &next, kServeConns, kClosedDepth,
-                       plan.closed_share * opt.seconds, keep, &out->closed);
-    out->closed_stop_ns =
-        out->closed_start_ns +
-        static_cast<int64_t>(plan.closed_share * opt.seconds * 1e9);
-  }
 
   // The writer republishes a new version at a fixed cadence while the
-  // open-loop phases run.
+  // open-loop segments run.
   std::atomic<bool> stop_writer{false};
   std::vector<float> base_rel;
+  if (writer_model != nullptr) {
+    base_rel = versions->relations.at(publisher->published_step());
+  }
   int64_t step = publisher->published_step();
   auto writer = [&] {
     while (!stop_writer.load()) {
@@ -401,7 +401,6 @@ bool ServePhases(const RunOptions& opt, const Plan& plan,
   auto run_with_writer = [&](const std::function<void()>& phase) {
     std::thread w;
     if (writer_model != nullptr) {
-      base_rel = versions->relations.at(publisher->published_step());
       stop_writer = false;
       w = std::thread(writer);
     }
@@ -411,18 +410,34 @@ bool ServePhases(const RunOptions& opt, const Plan& plan,
       w.join();
     }
   };
-  const size_t open_start = next;
-  run_with_writer([&] {
-    Coarse span("serve.open_loop");
-    ok = ok && RunOpenLoop(server.port(), mix, &next, kServeConns,
-                           plan.open_rate, plan.open_share * opt.seconds,
-                           opt.seed, keep, &out->open);
-  });
-  const size_t open_end = next;
+  const double closed_s = plan.closed_share * opt.seconds / kServeRounds;
+  const double open_s = plan.open_share * opt.seconds / kServeRounds;
+  std::vector<std::pair<size_t, size_t>> open_ranges;  // Request indices.
+  for (int round = 0; ok && round < kServeRounds; ++round) {
+    {
+      Coarse span("serve.closed_loop");
+      const int64_t start = NowNs();
+      ok = RunClosedLoop(server.port(), mix, &next, kServeConns, kClosedDepth,
+                         closed_s, keep, &out->closed);
+      const std::vector<double> rates =
+          WindowRates(out->closed, start,
+                      start + static_cast<int64_t>(closed_s * 1e9), kQpsWindowS);
+      out->closed_rates.insert(out->closed_rates.end(), rates.begin(),
+                               rates.end());
+    }
+    const size_t open_start = next;
+    run_with_writer([&] {
+      Coarse span("serve.open_loop");
+      ok = ok && RunOpenLoop(server.port(), mix, &next, kServeConns,
+                             plan.open_rate, open_s, opt.seed * 131 + round,
+                             keep, &out->open);
+    });
+    open_ranges.emplace_back(open_start, next);
+  }
   if (opt.trace) {
     run_with_writer([&] {
       Coarse span("serve.engine_open_loop");
-      size_t engine_next = open_start;
+      size_t engine_next = open_ranges.front().first;
       RunEngineOpenLoop(server.engine(), mix, &engine_next, plan.open_rate,
                         plan.open_share * opt.seconds, opt.seed, &out->engine);
     });
@@ -455,10 +470,13 @@ bool ServePhases(const RunOptions& opt, const Plan& plan,
                   "more samples beyond p99)");
 
   // Served answers against the version named by each response's step.
-  int64_t wrong = CheckResponses(mix, out->closed, versions, expect_step,
-                                 &rep->log);
-  wrong += CheckResponses(mix, out->open, versions,
-                          writer_model ? -1 : expect_step, &rep->log);
+  out->repeated_key_share = RepeatedKeyShare(std::vector<nsc::Query>(
+      mix.begin(), mix.begin() + std::min(next, mix.size())));
+
+  // With a writer, closed-loop rounds after the first see its versions.
+  const int64_t expect = writer_model ? -1 : expect_step;
+  int64_t wrong = CheckResponses(mix, out->closed, versions, expect, &rep->log);
+  wrong += CheckResponses(mix, out->open, versions, expect, &rep->log);
   const int64_t failed = out->closed.errors + out->open.errors +
                          out->engine.errors + (totals.sent - totals.received);
   rep->log.Ops(totals.sent + out->engine.sent, failed);
@@ -481,14 +499,16 @@ bool ServePhases(const RunOptions& opt, const Plan& plan,
     std::vector<std::pair<nsc::RelationId, nsc::EntityId>> heads;
     std::vector<std::pair<nsc::EntityId, nsc::RelationId>> tails;
     size_t total_topk = 0;
-    for (size_t i = open_start; i < open_end; ++i) {
-      const nsc::Query& q = mix[i % mix.size()];
-      if (q.kind == nsc::QueryKind::kTopKHeads) {
-        ++total_topk;
-        if (heads.size() < 128) heads.emplace_back(q.r, q.t);
-      } else if (q.kind == nsc::QueryKind::kTopKTails) {
-        ++total_topk;
-        if (tails.size() < 128) tails.emplace_back(q.h, q.r);
+    for (const auto& [lo, hi] : open_ranges) {
+      for (size_t i = lo; i < hi; ++i) {
+        const nsc::Query& q = mix[i % mix.size()];
+        if (q.kind == nsc::QueryKind::kTopKHeads) {
+          ++total_topk;
+          if (heads.size() < 128) heads.emplace_back(q.r, q.t);
+        } else if (q.kind == nsc::QueryKind::kTopKTails) {
+          ++total_topk;
+          if (tails.size() < 128) tails.emplace_back(q.h, q.r);
+        }
       }
     }
     const Totals before = Tracer::Global().Snapshot();
@@ -530,37 +550,34 @@ std::vector<double> WindowQuantiles(const std::vector<double>& v, double q) {
 }
 
 void AddServeMetrics(const ServeOutcome& s, RunReport* rep) {
-  Add(&rep->end_to_end, "serve_qps",
-      FastRate(WindowRates(s.closed, s.closed_start_ns, s.closed_stop_ns,
-                           kQpsWindowS)),
-      "1/s");
+  Add(&rep->end_to_end, "serve_qps", FastRate(s.closed_rates), "1/s");
   const std::vector<double> p99s = WindowQuantiles(s.open.latency_us, 0.99);
   std::string windows = "[";
   for (size_t w = 0; w < p99s.size(); ++w) {
     windows += (w ? ", " : "") + std::to_string(p99s[w]);
   }
   rep->extra.Raw("serve_open_window_p99_us", windows + "]");
-  const std::vector<double> qps = WindowRates(
-      s.closed, s.closed_start_ns, s.closed_stop_ns, kQpsWindowS);
   std::string qps_windows = "[";
-  for (size_t w = 0; w < qps.size(); ++w) {
-    qps_windows += (w ? ", " : "") + std::to_string(qps[w]);
+  for (size_t w = 0; w < s.closed_rates.size(); ++w) {
+    qps_windows += (w ? ", " : "") + std::to_string(s.closed_rates[w]);
   }
   rep->extra.Raw("serve_closed_window_qps", qps_windows + "]");
   for (double q : {0.9, 0.999, 1.0}) {
     rep->extra.Num("serve_open_q" + std::to_string(q).substr(0, 5) + "_us",
                    Quantile(s.open.latency_us, q));
   }
-  Add(&rep->end_to_end, "serve_p50_us",
-      Quantile(WindowQuantiles(s.open.latency_us, 0.5), 0.0), "us");
+  const double tcp_p50 =
+      Quantile(WindowQuantiles(s.open.latency_us, 0.5), 0.0);
+  Add(&rep->end_to_end, "serve_p50_us", tcp_p50, "us");
   Add(&rep->end_to_end, "serve_p99_us", Quantile(p99s, 0.0), "us");
-  const double engine_p50 = Quantile(s.engine.latency_us, 0.5);
+  // The engine pass is reduced like the TCP open loop, window by window.
+  const double engine_p50 =
+      Quantile(WindowQuantiles(s.engine.latency_us, 0.5), 0.0);
   Add(&rep->per_layer, "serve.publish_ms", Median(s.publish_ms), "ms");
   Add(&rep->per_layer, "serve.engine_p50_us", engine_p50, "us");
   Add(&rep->per_layer, "serve.engine_p99_us",
-      Quantile(s.engine.latency_us, 0.99), "us");
-  Add(&rep->per_layer, "serve.frontend_us",
-      Quantile(s.open.latency_us, 0.5) - engine_p50, "us");
+      Quantile(WindowQuantiles(s.engine.latency_us, 0.99), 0.0), "us");
+  Add(&rep->per_layer, "serve.frontend_us", tcp_p50 - engine_p50, "us");
   Add(&rep->per_layer, "serve.mean_batch", s.mean_batch, "count");
   Add(&rep->per_layer, "serve.coalesced_share", s.coalesced_share, "ratio");
   Add(&rep->per_layer, "loadgen.late_p99_us", Quantile(s.open.late_us, 0.99),
@@ -575,7 +592,9 @@ void AddServeMetrics(const ServeOutcome& s, RunReport* rep) {
 struct TrainOutcome {
   std::vector<nsc::EpochStats> epochs;
   std::vector<double> wall_s;
-  std::vector<char> timed;
+  /// Traced runs: epoch walls of the untraced twin (same seed, threads
+  /// and publishing, no decorators), run in turn with the traced epochs.
+  std::vector<double> untraced_wall_s;
   double triples_per_s = 0.0;
   int64_t publishes = 0;
   int64_t ckpt_written = 0;
@@ -603,18 +622,20 @@ struct TrainStack {
   }
 };
 
-void BuildTrainStack(const RunOptions& opt, const Plan& plan,
+// Builds the trained side; `traced` wraps the scorer and the sampler in
+// the timing decorators.
+void BuildTrainStack(const RunOptions& opt, const Plan& plan, bool traced,
                      const nsc::Dataset& ds, const nsc::KgIndex& train_index,
                      const std::string& ckpt_dir, TrainStack* s) {
   s->model = std::make_unique<nsc::KgeModel>(
-      ds.num_entities(), ds.num_relations(), plan.dim, MakeScorer(opt.trace));
+      ds.num_entities(), ds.num_relations(), kDim, MakeScorer(traced));
   nsc::Rng init_rng(opt.seed * 0x9E37ULL + 3);
   s->model->InitXavier(&init_rng);
   s->raw_sampler = MakeSampler(plan.sampler, s->model.get(), &train_index);
   if (plan.sampler == "nscaching") {
     s->cache = static_cast<nsc::NSCachingSampler*>(s->raw_sampler.get());
   }
-  if (opt.trace || opt.sampler_delay_ns > 0) {
+  if (traced || opt.sampler_delay_ns > 0) {
     s->traced_sampler = std::make_unique<TracingSampler>(
         s->raw_sampler.get(), opt.sampler_delay_ns);
   }
@@ -625,29 +646,35 @@ void BuildTrainStack(const RunOptions& opt, const Plan& plan,
   s->publisher = std::make_unique<nsc::SnapshotPublisher>(po);
   s->trainer = std::make_unique<nsc::Trainer>(
       s->model.get(), &ds.train, s->sampler(),
-      MakeTrainConfig(plan.dim, opt.seed, opt.threads));
+      MakeTrainConfig(opt.seed, opt.threads));
   s->trainer->EnableSnapshots(s->publisher.get(), kPublishEveryBatches);
 }
 
-// Trains `epochs` epochs. In traced runs epoch 0 is an untimed warm-up,
-// then odd epochs are timed and even ones untimed, so the tracing
-// overhead is measured inside one training run.
+// Trains `epochs` epochs. In traced runs each epoch is followed by one of
+// `twin`, the same training without decorators, so the tracing overhead
+// is measured against untraced training on the same host at the same time.
 void TrainEpochs(const RunOptions& opt, int epochs, TrainStack* s,
-                 size_t triples, TrainOutcome* out) {
+                 TrainStack* twin, size_t triples, TrainOutcome* out) {
   const Totals before = Tracer::Global().Snapshot();
   std::vector<double> rates;
   for (int e = 0; e < epochs; ++e) {
-    const bool timed = opt.trace && e % 2 == 1;
-    Tracer::Global().set_timing(timed);
-    Coarse span(timed ? "train.epoch.traced" : "train.epoch");
-    const int64_t t0 = NowNs();
-    out->epochs.push_back(s->trainer->RunEpoch());
-    const double wall = NsToS(NowNs() - t0);
-    out->wall_s.push_back(wall);
-    out->timed.push_back(timed ? 1 : 0);
-    rates.push_back(double(triples) / wall);
+    Tracer::Global().set_timing(opt.trace);
+    {
+      Coarse span("train.epoch");
+      const int64_t t0 = NowNs();
+      out->epochs.push_back(s->trainer->RunEpoch());
+      const double wall = NsToS(NowNs() - t0);
+      out->wall_s.push_back(wall);
+      rates.push_back(double(triples) / wall);
+    }
+    Tracer::Global().set_timing(false);
+    if (twin != nullptr) {
+      Coarse span("train.epoch.untraced");
+      const int64_t t0 = NowNs();
+      twin->trainer->RunEpoch();
+      out->untraced_wall_s.push_back(NsToS(NowNs() - t0));
+    }
   }
-  Tracer::Global().set_timing(false);
   out->train_totals = Tracer::Global().Snapshot() - before;
   out->triples_per_s = FastRate(rates);
   out->publishes = s->trainer->global_step() / kPublishEveryBatches;
@@ -745,7 +772,7 @@ void CheckTraceIsTransparent(const RunOptions& opt, const Plan& plan,
   for (size_t i = 0; i < n; ++i) subset.Add(ds.train[i]);
   double loss[2] = {0.0, 0.0};
   for (int traced = 0; traced < 2; ++traced) {
-    nsc::KgeModel model(ds.num_entities(), ds.num_relations(), plan.dim,
+    nsc::KgeModel model(ds.num_entities(), ds.num_relations(), kDim,
                         MakeScorer(traced == 1));
     nsc::Rng init_rng(opt.seed * 0x9E37ULL + 3);
     model.InitXavier(&init_rng);
@@ -754,7 +781,7 @@ void CheckTraceIsTransparent(const RunOptions& opt, const Plan& plan,
     nsc::Trainer trainer(&model, &subset,
                          traced ? static_cast<nsc::NegativeSampler*>(&wrapped)
                                 : raw.get(),
-                         MakeTrainConfig(plan.dim, opt.seed, 1));
+                         MakeTrainConfig(opt.seed, 1));
     Tracer::Global().set_timing(traced == 1);
     for (int e = 0; e < 2; ++e) loss[traced] = trainer.RunEpoch().mean_loss;
     Tracer::Global().set_timing(false);
@@ -801,19 +828,10 @@ void AddTrainMetrics(const RunOptions& opt, const TrainStack& s,
   Add(&rep->end_to_end, "test_mrr", t.mrr, "ratio");
   Add(&rep->end_to_end, "eval_queries_per_s", t.eval_queries_per_s, "1/s");
 
-  // Per-layer: per traced epoch (thread-seconds for spans), so the
-  // stages add up to train.epoch_s x threads.
-  std::vector<double> timed_wall, untimed_wall;
+  // Per-layer: per epoch (thread-seconds for spans), so the stages add up
+  // to train.epoch_s x threads.
   double nzl = 0.0;
-  for (size_t e = 0; e < t.wall_s.size(); ++e) {
-    if (t.timed[e]) {
-      timed_wall.push_back(t.wall_s[e]);
-    } else if (e > 0) {
-      untimed_wall.push_back(t.wall_s[e]);
-    }
-    nzl += t.epochs[e].nonzero_loss_ratio;
-  }
-  const double nt = std::max<double>(1.0, double(timed_wall.size()));
+  for (const nsc::EpochStats& e : t.epochs) nzl += e.nonzero_loss_ratio;
   const double ne = static_cast<double>(t.epochs.size());
   const KindTotals* k = t.train_totals.kind;
   const double sample_s = NsToS(k[kSample].ns);
@@ -823,14 +841,14 @@ void AddTrainMetrics(const RunOptions& opt, const TrainStack& s,
   const double top_level_s =
       sample_s + NsToS(k[kFeedback].ns) +
       (scorer_ns - double(k[kSample].child_ns)) * 1e-9;
-  double timed_sum = 0.0;
-  for (double w : timed_wall) timed_sum += w;
-  const double budget_s = timed_sum * opt.threads;
+  double wall_sum = 0.0;
+  for (double w : t.wall_s) wall_sum += w;
+  const double budget_s = wall_sum * opt.threads;
   const nsc::CacheStats cs =
       s.cache ? s.cache->stats() : nsc::CacheStats();
 
-  Add(&rep->per_layer, "sampler.sample_s", sample_s / nt, "s");
-  Add(&rep->per_layer, "core.self_s", NsToS(k[kSample].ns - k[kSample].child_ns) / nt,
+  Add(&rep->per_layer, "sampler.sample_s", sample_s / ne, "s");
+  Add(&rep->per_layer, "core.self_s", NsToS(k[kSample].ns - k[kSample].child_ns) / ne,
       "s");
   Add(&rep->per_layer, "core.refreshes", double(cs.updates) / ne, "count");
   Add(&rep->per_layer, "core.selections", double(cs.selections) / ne, "count");
@@ -844,29 +862,35 @@ void AddTrainMetrics(const RunOptions& opt, const TrainStack& s,
   Add(&rep->per_layer, "core.true_admissions", double(cs.true_admissions) / ne,
       "count");
   Add(&rep->per_layer, "embedding.candidate_sweep_s",
-      NsToS(k[kCandidateSweep].ns) / nt, "s");
+      NsToS(k[kCandidateSweep].ns) / ne, "s");
   Add(&rep->per_layer, "embedding.candidate_scores",
       double(k[kCandidateSweep].work) / ne, "count");
-  Add(&rep->per_layer, "embedding.score_batch_s", NsToS(k[kScoreBatch].ns) / nt,
+  Add(&rep->per_layer, "embedding.score_batch_s", NsToS(k[kScoreBatch].ns) / ne,
       "s");
   Add(&rep->per_layer, "embedding.backward_batch_s",
-      NsToS(k[kBackwardBatch].ns) / nt, "s");
+      NsToS(k[kBackwardBatch].ns) / ne, "s");
   Add(&rep->per_layer, "embedding.scored_triples",
       double(k[kScoreBatch].work) / ne, "count");
   const KindTotals& sweep = t.eval_totals.kind[kEntitySweep];
   Add(&rep->per_layer, "embedding.entity_sweep_s", NsToS(sweep.ns), "s");
   Add(&rep->per_layer, "embedding.entity_sweep_gb_per_s",
       sweep.ns ? double(sweep.bytes) / double(sweep.ns) : 0.0, "GB/s");
-  Add(&rep->per_layer, "train.epoch_s", Median(timed_wall), "s");
-  Add(&rep->per_layer, "train.other_s", (budget_s - top_level_s) / nt, "s");
+  Add(&rep->per_layer, "train.epoch_s", Median(t.wall_s), "s");
+  Add(&rep->per_layer, "train.other_s", (budget_s - top_level_s) / ne, "s");
   Add(&rep->per_layer, "train.nzl", nzl / ne, "ratio");
   Add(&rep->per_layer, "train.eval_other_s",
       t.eval_s * opt.threads - NsToS(sweep.ns), "s");
   Add(&rep->per_layer, "train.publishes", double(t.publishes), "count");
   Add(&rep->per_layer, "train.ckpt_written", double(t.ckpt_written), "count");
+  // Epoch 0 of each side is left out: it warms caches and allocators.
+  const std::vector<double> traced_wall(t.wall_s.begin() + 1, t.wall_s.end());
+  const std::vector<double> untraced_wall(
+      t.untraced_wall_s.begin() + std::min<size_t>(1, t.untraced_wall_s.size()),
+      t.untraced_wall_s.end());
   Add(&rep->per_layer, "trace.overhead_share",
-      untimed_wall.empty() ? 0.0
-                           : Median(timed_wall) / Median(untimed_wall) - 1.0,
+      untraced_wall.empty()
+          ? 0.0
+          : Median(traced_wall) / Median(untraced_wall) - 1.0,
       "ratio");
 
   if (opt.trace) {
@@ -894,6 +918,7 @@ void AddTrainMetrics(const RunOptions& opt, const TrainStack& s,
 // Loads the dataset and builds the training and filter indexes.
 struct Loaded {
   std::string dir;
+  int64_t start_ns = 0;  ///< When LoadDataset was called: set-up starts.
   nsc::Dataset ds;
   std::unique_ptr<nsc::KgIndex> train_index, all_index;
   double load_s = 0.0, index_s = 0.0;
@@ -901,6 +926,7 @@ struct Loaded {
 
 bool LoadData(const std::string& dir, const std::string& name, Loaded* l) {
   l->dir = dir;
+  l->start_ns = NowNs();
   {
     Coarse span("kg.load");
     auto ds = nsc::LoadDataset(dir, name);
@@ -945,13 +971,18 @@ void CheckMrr(const RunOptions& opt, const Loaded& l, const OwnView& own,
                       ", " + std::to_string(trained_b.second) +
                       "] contain EvaluateLinkPrediction's " +
                       std::to_string(lib));
-  rep->log.Expect(trained_b.first >= initial_b.second + kMrrMargin,
-                  "trained MRR " + std::to_string(trained_b.first) +
+  // Compared at the middle of each model's near-tie bounds: on 128
+  // queries the bounds of a trained model can be wide where many
+  // candidates score within the tolerance of the true triple.
+  const double trained_mid = (trained_b.first + trained_b.second) / 2.0;
+  const double initial_mid = (initial_b.first + initial_b.second) / 2.0;
+  rep->log.Expect(trained_mid >= initial_mid + kMrrMargin,
+                  "trained MRR " + std::to_string(trained_mid) +
                       " beats the initial model's " +
-                      std::to_string(initial_b.second) + " by " +
+                      std::to_string(initial_mid) + " by " +
                       std::to_string(kMrrMargin));
-  rep->extra.Num("ref_mrr_trained", trained_b.first);
-  rep->extra.Num("ref_mrr_initial", initial_b.second);
+  rep->extra.Num("ref_mrr_trained", trained_mid);
+  rep->extra.Num("ref_mrr_initial", initial_mid);
   rep->extra.Num("lib_mrr_subsample", lib);
 }
 
@@ -960,12 +991,18 @@ bool TrainAndEvaluate(const RunOptions& opt, const Plan& plan, Loaded* l,
                       int64_t* setup_end_ns,
                       TrainStack* s, TrainOutcome* out, RunReport* rep) {
   const std::string ckpt_dir = opt.work_dir + "/ckpt";
-  BuildTrainStack(opt, plan, l->ds, *l->train_index, ckpt_dir, s);
+  BuildTrainStack(opt, plan, opt.trace, l->ds, *l->train_index, ckpt_dir, s);
   if (setup_end_ns != nullptr) *setup_end_ns = NowNs();
   const nsc::KgeModel initial = s->model->Clone();
+  TrainStack twin;
+  if (opt.trace) {
+    BuildTrainStack(opt, plan, false, l->ds, *l->train_index,
+                    opt.work_dir + "/ckpt-untraced", &twin);
+  }
 
   const int epochs = EpochsFor(plan, opt.seconds);
-  TrainEpochs(opt, epochs, s, l->ds.train.size(), out);
+  TrainEpochs(opt, epochs, s, opt.trace ? &twin : nullptr,
+              l->ds.train.size(), out);
 
   PublishFinal(s, &out->final_publish_ms);
   out->ckpt_written = s->publisher->checkpoint_stats().successes;
@@ -1024,7 +1061,7 @@ bool RunTrainWorkload(const RunOptions& opt, const Plan& plan,
   TrainStack s;
   TrainOutcome t;
   if (!TrainAndEvaluate(opt, plan, &l, &setup_end, &s, &t, rep)) return false;
-  Add(&rep->end_to_end, "setup_s", NsToS(setup_end - opt.launch_ns), "s");
+  Add(&rep->end_to_end, "setup_s", NsToS(setup_end - l.start_ns), "s");
 
   Versions versions;
   versions.model = s.model.get();
@@ -1054,7 +1091,7 @@ bool RunServeWorkload(const RunOptions& opt, const Plan& plan,
   ServeOutcome so;
   {
     nsc::KgeModel model(served.ds.num_entities(), served.ds.num_relations(),
-                        plan.serve_dim, std::make_unique<nsc::TransE>());
+                        kServeDim, std::make_unique<nsc::TransE>());
     BuildLatentModel(served.ds, opt.seed, &model);
     nsc::SnapshotPublisher publisher;
     Versions versions;
@@ -1064,7 +1101,7 @@ bool RunServeWorkload(const RunOptions& opt, const Plan& plan,
     std::unique_ptr<nsc::KgeModel> kernel_model;
     if (opt.trace) {
       kernel_model = std::make_unique<nsc::KgeModel>(
-          plan.serve_dim, MakeScorer(true), model.entity_table(),
+          kServeDim, MakeScorer(true), model.entity_table(),
           model.relation_table());
     }
     if (!ServePhases(opt, plan, &publisher, &versions, &model,
@@ -1074,8 +1111,8 @@ bool RunServeWorkload(const RunOptions& opt, const Plan& plan,
     }
   }
   served.ds = nsc::Dataset();
-  Add(&rep->end_to_end, "setup_s", NsToS(so.first_request_ns - opt.launch_ns),
-      "s");
+  Add(&rep->end_to_end, "setup_s",
+      NsToS(so.first_request_ns - served.start_ns), "s");
   AddServeMetrics(so, rep);
 
   // Train → evaluate: a short Bernoulli run on the WN18RR-shaped graph,

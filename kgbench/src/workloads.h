@@ -19,9 +19,6 @@ struct RunOptions {
   bool trace = false;
   std::string data_dir;  ///< Generated train/valid/test TSV files.
   std::string work_dir;  ///< Checkpoints, span file, report.
-  /// CLOCK_MONOTONIC ns at which the launcher started this process;
-  /// set-up time runs from here.
-  int64_t launch_ns = 0;
   int threads = 4;
   /// Self-test only: spin this long per sampled triple (training).
   int64_t sampler_delay_ns = 0;
